@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-workers bench-loadbal bench-overlap bench-serve bench-hier bench-all bench-diff generate generate-check test-noasm serve-smoke tcp-smoke
+.PHONY: all fmt-check build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-workers bench-loadbal bench-overlap bench-serve bench-hier bench-all bench-diff generate generate-check test-noasm serve-smoke tcp-smoke
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, if any Go source is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -81,7 +85,7 @@ serve-smoke:
 tcp-smoke:
 	./scripts/tcp_smoke.sh
 
-check: vet build test race chaos test-noasm bench-sweep bench-smoke serve-smoke tcp-smoke
+check: fmt-check vet build test race chaos test-noasm bench-sweep bench-smoke serve-smoke tcp-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 	var tracer comm.MemTracer
 	_, err = comm.Run(8, comm.Options{Model: netmodel.QDR, Tracer: &tracer,
 		Grid: [3]int{2, 2, 2}}, func(r *comm.Rank) error {
-		r.SetSite("demo_allreduce")
+		defer obs.NewRegions(r, nil, nil).Enter("demo_allreduce", obs.CatComm).End()
 		r.Allreduce(comm.OpSum, []float64{float64(r.ID())})
 		return nil
 	})

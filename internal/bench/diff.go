@@ -31,7 +31,7 @@ type CompareOptions struct {
 
 // Delta is one metric compared across two trajectories.
 type Delta struct {
-	Key           string  // suite/scenario
+	Key           string // suite/scenario
 	Metric        string
 	Unit          string
 	Base, Cur     float64

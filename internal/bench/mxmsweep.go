@@ -37,10 +37,10 @@ type MxMSweepOptions struct {
 
 // MxMRecord is one (k, variant) measurement.
 type MxMRecord struct {
-	K, M, N   int
-	Nel       int
-	Steps     int
-	Variant   string
+	K, M, N int
+	Nel     int
+	Steps   int
+	Variant string
 	// Effective is the kernel that actually ran (sem.MxMEffective):
 	// variants outside their specialization range report their
 	// fallback here instead of silently crediting the named variant.

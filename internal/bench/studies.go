@@ -26,14 +26,14 @@ import (
 
 // LoadbalOptions parameterize the skewed-load scenario study.
 type LoadbalOptions struct {
-	N          int     // GLL points per direction (0 = 5, the baseline's)
-	Workers    int     // pool width per rank (0 = DefaultWorkers)
-	HotFactor  float64 // hot-rank cost multiplier (0 = 4, the baseline's)
-	Threshold  float64 // imbalance triggering a rebalance (0 = 1.2)
-	Every      int     // steps between epochs (0 = 2)
-	Trace      bool    // record spans/flows and attach critpath summaries
-	Net        netmodel.Model
-	NetSet     bool // Net is meaningful (zero Model is unusable)
+	N         int     // GLL points per direction (0 = 5, the baseline's)
+	Workers   int     // pool width per rank (0 = DefaultWorkers)
+	HotFactor float64 // hot-rank cost multiplier (0 = 4, the baseline's)
+	Threshold float64 // imbalance triggering a rebalance (0 = 1.2)
+	Every     int     // steps between epochs (0 = 2)
+	Trace     bool    // record spans/flows and attach critpath summaries
+	Net       netmodel.Model
+	NetSet    bool // Net is meaningful (zero Model is unusable)
 }
 
 // LBScenario is one measured scenario of the loadbal study.

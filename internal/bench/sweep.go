@@ -13,12 +13,12 @@ import (
 
 // SweepOptions parameterize the derivative-kernel worker sweep.
 type SweepOptions struct {
-	N       int                // GLL points per direction (0 = 9)
-	Nel     int                // elements (0 = 64)
-	Steps   int                // repetitions (0 = 200)
-	Variant sem.KernelVariant  // kernel variant (default Optimized)
-	Workers []int              // widths to sweep (nil = 1,2,4..NumCPU)
-	Each    func(SweepRecord)  // optional per-record progress callback
+	N       int               // GLL points per direction (0 = 9)
+	Nel     int               // elements (0 = 64)
+	Steps   int               // repetitions (0 = 200)
+	Variant sem.KernelVariant // kernel variant (default Optimized)
+	Workers []int             // widths to sweep (nil = 1,2,4..NumCPU)
+	Each    func(SweepRecord) // optional per-record progress callback
 }
 
 // SweepRecord is one (direction, workers) measurement.

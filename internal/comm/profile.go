@@ -6,9 +6,10 @@ import (
 
 // Profile accumulates mpiP-style statistics for one rank: for every
 // (MPI operation, call site) pair, the call count, host wall time,
-// modeled network time, and byte counts. Call sites are the labels the
-// application sets with Rank.SetSite, mirroring how mpiP attributes MPI
-// time to source locations (Figures 8-10 of the paper).
+// modeled network time, and byte counts. Call sites are the names of the
+// application's obs regions (set through Rank.SwapSite), mirroring how
+// mpiP attributes MPI time to source locations (Figures 8-10 of the
+// paper).
 type Profile struct {
 	Rank int
 

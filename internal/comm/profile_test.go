@@ -6,7 +6,7 @@ import (
 
 func TestProfileRecordsCalls(t *testing.T) {
 	stats, err := RunSimple(2, func(r *Rank) error {
-		r.SetSite("exchange")
+		r.SwapSite("exchange")
 		if r.ID() == 0 {
 			r.Send(1, 0, []float64{1, 2})
 			r.Send(1, 0, []float64{1, 2, 3, 4})
@@ -14,7 +14,7 @@ func TestProfileRecordsCalls(t *testing.T) {
 			r.Recv(0, 0)
 			r.Recv(0, 0)
 		}
-		r.SetSite("")
+		r.SwapSite("")
 		r.Barrier()
 		return nil
 	})
@@ -50,9 +50,9 @@ func TestProfileRecordsCalls(t *testing.T) {
 
 func TestProfileAggregation(t *testing.T) {
 	stats, err := RunSimple(4, func(r *Rank) error {
-		r.SetSite("phase1")
+		r.SwapSite("phase1")
 		r.Allreduce(OpSum, []float64{1})
-		r.SetSite("phase2")
+		r.SwapSite("phase2")
 		r.Allreduce(OpSum, []float64{2})
 		return nil
 	})

@@ -63,9 +63,13 @@ func (r *Rank) Kill() {
 // communication phases.
 func (r *Rank) Clock() *netmodel.Clock { return r.clock }
 
-// SetSite labels subsequent MPI operations with a call-site name, the way
-// mpiP attributes time to call sites. An empty string clears the label.
-func (r *Rank) SetSite(site string) { r.prof.site = site }
+// SwapSite labels subsequent MPI operations with a call-site name, the
+// way mpiP attributes time to call sites ("" clears the label), and
+// returns the label it replaced. Applications label through obs.Regions.
+func (r *Rank) SwapSite(site string) (prev string) {
+	prev, r.prof.site = r.prof.site, site
+	return prev
+}
 
 // Site returns the current call-site label.
 func (r *Rank) Site() string { return r.prof.site }

@@ -9,7 +9,7 @@ func TestTracerRecordsP2P(t *testing.T) {
 	var tr MemTracer
 	_, err := Run(2, Options{Tracer: &tr}, func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SetSite("exchange")
+			r.SwapSite("exchange")
 			r.Send(1, 5, []float64{1, 2, 3})
 		} else {
 			r.Recv(0, 5)

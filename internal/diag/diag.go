@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/sem"
 	"repro/internal/solver"
 )
@@ -69,11 +70,11 @@ func Compute(s *solver.Solver) Summary {
 			}
 		}
 	}
-	s.Rank.SetSite("diag")
+	rg := s.Regions().Enter("diag", obs.CatComm)
 	sums := s.Rank.Allreduce(comm.OpSum, []float64{mass, ke, ie})
 	maxes := s.Rank.Allreduce(comm.OpMax, []float64{maxMach, maxRho})
 	mins := s.Rank.Allreduce(comm.OpMin, []float64{minRho})
-	s.Rank.SetSite("")
+	rg.End()
 	return Summary{
 		Mass:           sums[0],
 		KineticEnergy:  sums[1],
@@ -146,9 +147,9 @@ func ModalSpectrum(s *solver.Solver, field int) Spectrum {
 			}
 		}
 	}
-	s.Rank.SetSite("diag")
+	rg := s.Regions().Enter("diag", obs.CatComm)
 	out := s.Rank.Allreduce(comm.OpSum, spec)
-	s.Rank.SetSite("")
+	rg.End()
 	total := float64(s.Local.Box.TotalElems())
 	for i := range out {
 		out[i] /= total

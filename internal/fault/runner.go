@@ -189,10 +189,7 @@ func (rn *Runner) crashNow(step int) bool {
 // computes the same death list at the same step.
 func (rn *Runner) heartbeat(step int) ([]int, error) {
 	r := rn.s.Rank
-	stop := rn.s.TraceSpan("heartbeat", obs.CatComm)
-	defer stop()
-	r.SetSite("heartbeat")
-	defer r.SetSite("")
+	defer rn.s.Regions().Enter("heartbeat", obs.CatComm).End()
 	tag := heartbeatTagBase + step
 	p, me := r.Size(), r.ID()
 	ping := []float64{float64(step)}
@@ -226,8 +223,7 @@ func (rn *Runner) heartbeat(step int) ([]int, error) {
 // is implied by the collective step structure: no rank can pass the next
 // timestep's reductions until every rank has finished writing this set.
 func (rn *Runner) writeCheckpoint(step int) error {
-	stop := rn.s.TraceSpan("auto_checkpoint", obs.CatComm)
-	defer stop()
+	defer rn.s.Regions().Enter("auto_checkpoint", obs.CatComm).End()
 	if err := checkpoint.WriteFile(rn.cfg.CkptDir, ckptTag(step), rn.s, int64(step), rn.s.SimTime()); err != nil {
 		return err
 	}
@@ -244,8 +240,9 @@ func (rn *Runner) writeCheckpoint(step int) error {
 // and roll back to the latest complete auto-checkpoint.
 func (rn *Runner) recoverFrom(dead []int) error {
 	old := rn.s
-	stop := old.TraceSpan("recovery", obs.CatComm)
-	defer stop()
+	// The recovery region labels the survivors' sub-communicator too:
+	// Shrink shares the rank's clock and MPI profile.
+	defer old.Regions().Enter("recovery", obs.CatComm).End()
 	r := old.Rank
 	for _, d := range dead {
 		rn.DeadRanks = append(rn.DeadRanks, r.WorldIDOf(d))
@@ -272,7 +269,6 @@ func (rn *Runner) recoverFrom(dead []int) error {
 	// Prove every survivor re-homed identically before restoring state
 	// onto the new partition: the checksum of the ownership wire form
 	// must be unanimous.
-	sub.SetSite("recovery")
 	// Rewind the step-metrics stream before the consensus collective:
 	// every survivor must enter the allreduce before any exits, so one
 	// rank's call here happens-before any replayed step report.
@@ -282,7 +278,6 @@ func (rn *Runner) recoverFrom(dead []int) error {
 	sum := float64(crc32.Checksum(newOwn.WireBytes(), crc32.MakeTable(crc32.Castagnoli)))
 	lo := sub.Allreduce(comm.OpMin, []float64{sum})[0]
 	hi := sub.Allreduce(comm.OpMax, []float64{sum})[0]
-	sub.SetSite("")
 	if lo != hi {
 		return fmt.Errorf("fault: survivors disagree on re-homed ownership (checksums %x..%x)", uint32(lo), uint32(hi))
 	}

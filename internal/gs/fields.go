@@ -26,9 +26,7 @@ func (g *GS) OpFields(fields [][]float64, op comm.ReduceOp, m Method) {
 			panic(fmt.Sprintf("gs: field %d length %d, setup saw %d", fi, len(f), g.n))
 		}
 	}
-	g.rank.SetSite("gs_op")
-	defer g.rank.SetSite("")
-	defer g.spans.Span("gs_op_fields", obs.CatGS)()
+	defer g.reg.Enter("gs_op", obs.CatGS).End()
 
 	k := len(fields)
 	ns := len(g.ids)

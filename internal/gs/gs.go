@@ -82,7 +82,8 @@ type neighbor struct {
 // layout. It is owned by the rank's goroutine.
 type GS struct {
 	rank *comm.Rank
-	n    int // expected vector length
+	reg  *obs.Regions // the rank's region recorder (gs_setup, gs_op, gs_autotune)
+	n    int          // expected vector length
 
 	ids      []int64 // distinct active ids, ascending (the shared-id table)
 	groups   [][]int // per table entry: local vector indices holding it
@@ -129,19 +130,25 @@ type GS struct {
 	// pendings counts NewPending calls, assigning each split-phase
 	// exchange handle its own deterministic point-to-point tag.
 	pendings int
-
-	spans *obs.RankTracer // telemetry spans around exchanges (nil = off)
 }
 
 // Setup builds a gather-scatter handle for the given id vector: ids[i] is
 // the global id of values[i] in later Op calls; negative ids mark entries
-// that never participate. Setup is collective over all ranks of r.
+// that never participate. Setup is collective over all ranks of r. Its
+// regions carry phases and mpiP call sites only; SetupWith records them
+// into the caller's profile and trace instead.
 func Setup(r *comm.Rank, ids []int64) *GS {
-	r.SetSite("gs_setup")
-	defer r.SetSite("")
+	return SetupWith(obs.NewRegions(r, nil, nil), ids)
+}
+
+// SetupWith is Setup on the rank of reg, recording the handle's regions
+// (gs_setup here, gs_op per exchange, gs_autotune) through reg.
+func SetupWith(reg *obs.Regions, ids []int64) *GS {
+	defer reg.Enter("gs_setup", obs.CatComm).End()
+	r := reg.Rank()
 
 	g := &GS{
-		rank: r, n: len(ids), method: Pairwise,
+		rank: r, reg: reg, n: len(ids), method: Pairwise,
 		sendBufs:       map[int][]float64{},
 		fieldsSendBufs: map[int][]float64{},
 	}
@@ -386,10 +393,6 @@ func (g *GS) FeasibleMethods() []Method {
 	return Methods
 }
 
-// SetSpanner attaches a telemetry span recorder: every exchange emits
-// one span on the owning rank's track. nil (the default) disables it.
-func (g *GS) SetSpanner(rt *obs.RankTracer) { g.spans = rt }
-
 // Method returns the currently selected default exchange method.
 func (g *GS) Method() Method { return g.method }
 
@@ -409,9 +412,7 @@ func (g *GS) OpWith(values []float64, op comm.ReduceOp, m Method) {
 	if len(values) != g.n {
 		panic(fmt.Sprintf("gs: vector length %d, setup saw %d", len(values), g.n))
 	}
-	g.rank.SetSite("gs_op")
-	defer g.rank.SetSite("")
-	defer g.spans.Span("gs_op", obs.CatGS)()
+	defer g.reg.Enter("gs_op", obs.CatGS).End()
 
 	// Gather: combine local occurrences into one partial per id.
 	for s, grp := range g.groups {

@@ -87,9 +87,7 @@ func (p *Pending) Begin(fields [][]float64, op comm.ReduceOp) {
 	p.fallback = false
 
 	r := g.rank
-	r.SetSite("gs_op")
-	defer r.SetSite("")
-	defer g.spans.Span("gs_begin", obs.CatGS)()
+	defer g.reg.Enter("gs_op", obs.CatGS).End()
 
 	p.t0 = r.Clock().Now()
 	k, ns := p.k, len(g.ids)
@@ -146,9 +144,7 @@ func (p *Pending) Finish() {
 	}
 
 	r := g.rank
-	r.SetSite("gs_op")
-	defer r.SetSite("")
-	defer g.spans.Span("gs_finish", obs.CatGS)()
+	defer g.reg.Enter("gs_op", obs.CatGS).End()
 
 	k, ns := p.k, len(g.ids)
 	partial := p.partial[:k*ns]

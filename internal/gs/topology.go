@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // TopoNeighbor is one sharing neighbor of a Topology: the remote rank and
@@ -109,13 +110,15 @@ func (t *Topology) Validate(p, self int) error {
 // been extracted from a Setup over the same id layout on the same rank
 // of an equally sized communicator; Validate enforces the cheap
 // invariants, and the exchange itself would detect the rest (slot lists
-// are canonical on both sides).
-func SetupFromTopology(r *comm.Rank, t *Topology) (*GS, error) {
+// are canonical on both sides). The handle records its regions through
+// reg, on reg's rank.
+func SetupFromTopology(reg *obs.Regions, t *Topology) (*GS, error) {
+	r := reg.Rank()
 	if err := t.Validate(r.Size(), r.ID()); err != nil {
 		return nil, err
 	}
 	g := &GS{
-		rank: r, n: t.N, method: Pairwise,
+		rank: r, reg: reg, n: t.N, method: Pairwise,
 		sendBufs:       map[int][]float64{},
 		fieldsSendBufs: map[int][]float64{},
 		ids:            append([]int64(nil), t.IDs...),

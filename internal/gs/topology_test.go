@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // TestTopologyRoundTrip proves a handle rebuilt from an extracted
@@ -41,7 +42,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 			var got [][]float64
 			_, err = comm.RunSimple(p, func(r *comm.Rank) error {
 				before := r.Profile().Totals().BytesSent
-				g, err := SetupFromTopology(r, topos[r.ID()])
+				g, err := SetupFromTopology(obs.NewRegions(r, nil, nil), topos[r.ID()])
 				if err != nil {
 					return err
 				}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // Timing summarizes one exchange method's measured cost across all ranks,
@@ -75,6 +76,7 @@ func SelectBest(timings []Timing, crit Criterion) Method {
 // different winner mid-tune, so an exchange concurrent with nothing but
 // ordinary use always sees a consistent method.
 func TuneBy(g *GS, trials int, crit Criterion) (Method, []Timing) {
+	defer g.reg.Enter("gs_autotune", obs.CatComm).End()
 	timings := g.timeMethods(trials)
 	best := SelectBest(timings, crit)
 	g.method = best

@@ -89,8 +89,8 @@ func (b *Balancer) elemBytes() int {
 
 // epoch runs one collective measure / plan / migrate round.
 func (b *Balancer) epoch() {
-	stop := b.s.TraceSpan("rebalance_epoch", obs.CatStep)
-	defer stop()
+	reg := b.s.Regions()
+	defer reg.Enter("rebalance_epoch", obs.CatStep).End()
 
 	// Measure: attribute this epoch's kernel seconds to elements by
 	// weight share, add the particle surcharge, smooth.
@@ -118,7 +118,7 @@ func (b *Balancer) epoch() {
 		gcost[b.s.Local.GID(e)] = b.cm.Costs()[e]
 	}
 	r := b.s.Rank
-	r.SetSite("loadbal_plan")
+	plan := reg.Enter("loadbal_plan", obs.CatComm)
 	gcost = r.Reduce(comm.OpSum, 0, gcost)
 
 	// Root plans; the decision and proposed owner map are broadcast so
@@ -140,7 +140,7 @@ func (b *Balancer) epoch() {
 	}
 	wire = r.BcastInts(0, wire)
 	stats = r.Bcast(0, stats)
-	r.SetSite("")
+	plan.End()
 	if r.ID() != 0 {
 		b.Last = Decision{
 			Rebalance:       wire[0] == 1,

@@ -20,6 +20,7 @@ import (
 	"repro/internal/gs"
 	"repro/internal/hw"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sem"
 )
@@ -72,6 +73,7 @@ type Solver struct {
 	Ref   *sem.Ref1D
 	Prof  *prof.Profiler
 
+	reg     *obs.Regions // this rank's regions: phase, site, Prof row
 	gsh     *gs.GS
 	invMult []float64 // 1/multiplicity per point (for assembled dot products)
 	w3      []float64 // tensor quadrature weights per element point
@@ -102,6 +104,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	local := box.Partition(r.ID())
 	ref := sem.NewRef1D(cfg.N)
 	s := &Solver{Cfg: cfg, Rank: r, Local: local, Ref: ref, Prof: prof.New()}
+	s.reg = obs.NewRegions(r, s.Prof, nil)
 
 	n := cfg.N
 	vol := local.Nel * n * n * n
@@ -122,13 +125,9 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		}
 	}
 
-	stop := s.Prof.Start("gs_setup")
-	s.gsh = gs.Setup(r, local.ContinuousIDs())
-	stop()
+	s.gsh = gs.SetupWith(s.reg, local.ContinuousIDs())
 	if cfg.AutoTune {
-		stop := s.Prof.Start("gs_autotune")
 		gs.TuneModeled(s.gsh, cfg.TuneTrials)
-		stop()
 	} else {
 		s.gsh.SetMethod(cfg.GSMethod)
 	}
@@ -203,26 +202,24 @@ func (s *Solver) GS() *gs.GS { return s.gsh }
 // DSSum performs the direct-stiffness summation: values at shared GLL
 // points are summed across all elements (and ranks) holding them.
 func (s *Solver) DSSum(u []float64) {
-	stop := s.Prof.Start("dssum")
+	rg := s.reg.Enter("dssum", obs.CatGS)
 	s.gsh.Op(u, comm.OpSum)
-	stop()
+	rg.End()
 }
 
 // GLSC2 returns the assembled global inner product of two redundantly
 // stored continuous vectors (weighted by inverse multiplicity so shared
 // points count once). Collective vector reduction.
 func (s *Solver) GLSC2(a, b []float64) float64 {
-	stop := s.Prof.Start("glsc")
+	rg := s.reg.Enter("glsc", obs.CatComm)
 	local := 0.0
 	for i := range a {
 		local += a[i] * b[i] * s.invMult[i]
 	}
-	stop()
-	s.Rank.SetSite("glsc")
 	out := s.Rank.Allreduce(comm.OpSum, []float64{local})
-	s.Rank.SetSite("")
 	s.chargeCompute(sem.OpCount{Mul: int64(len(a)) * 2, Add: int64(len(a)),
 		Load: int64(len(a)) * 3}, axTraits)
+	rg.End()
 	return out[0]
 }
 
@@ -241,7 +238,7 @@ func (s *Solver) chargeCompute(ops sem.OpCount, tr hw.Traits) {
 // points); w comes out continuous. This is Nekbone's ax kernel — the same
 // small-matrix-multiply structure as CMT-bone's derivative kernel.
 func (s *Solver) Ax(u, w []float64) {
-	stop := s.Prof.Start("ax")
+	rg := s.reg.Enter("ax", obs.CatKernel)
 	n := s.Cfg.N
 	nel := s.Local.Nel
 	rx := 2.0 // d(ref)/d(phys) for unit-cube elements
@@ -270,10 +267,10 @@ func (s *Solver) Ax(u, w []float64) {
 	for i := range w {
 		w[i] += s.tmp[i] + mass*s.w3[i]*u[i]
 	}
-	stop()
 	vol := int64(len(u))
 	ops = ops.Plus(sem.OpCount{Mul: 6 * vol, Add: 4 * vol, Load: 8 * vol, Store: 4 * vol})
 	s.chargeCompute(ops, axTraits)
+	rg.End()
 
 	s.DSSum(w)
 }
@@ -286,8 +283,7 @@ type Residuals []float64
 // iteration. With Config.Jacobi the iteration is diagonally
 // preconditioned. f must be continuous. Collective.
 func (s *Solver) CG(f []float64, iters int) ([]float64, Residuals) {
-	stopAll := s.Prof.Start("cg_solve")
-	defer stopAll()
+	defer s.reg.Enter("cg_solve", obs.CatStep).End()
 
 	n := len(f)
 	x := make([]float64, n)

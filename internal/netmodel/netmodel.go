@@ -167,17 +167,25 @@ func (c *Clock) split() *PhaseSplit {
 	return c.cur
 }
 
-// PushPhase switches the accounting phase and returns the closure that
-// restores the previous one; nest pushes like spans. The empty name is a
-// no-op (keep the enclosing phase), so callers can pass an unmapped
-// label through without special-casing.
-func (c *Clock) PushPhase(name string) func() {
-	if name == "" {
-		return func() {}
+// PushPhase switches the accounting phase to name and returns the phase
+// it replaced, which the caller hands back to PopPhase; nest pushes like
+// spans. The empty name is a no-op (keep the enclosing phase), so callers
+// can pass an unmapped label through without special-casing.
+func (c *Clock) PushPhase(name string) (prev string) {
+	prev = c.phase
+	if name != "" {
+		c.setPhase(name)
 	}
-	prevPhase, prevCur := c.phase, c.cur
-	c.phase, c.cur = name, nil
-	return func() { c.phase, c.cur = prevPhase, prevCur }
+	return prev
+}
+
+// PopPhase restores the phase a PushPhase returned.
+func (c *Clock) PopPhase(prev string) { c.setPhase(prev) }
+
+func (c *Clock) setPhase(name string) {
+	if name != c.phase {
+		c.phase, c.cur = name, nil
+	}
 }
 
 // Phase returns the current accounting phase label ("" outside any).

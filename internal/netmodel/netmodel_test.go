@@ -186,12 +186,12 @@ func TestPhaseAccountingSumsToNow(t *testing.T) {
 	inner := c.PushPhase("gs-exchange")
 	arrival := c.SendStamp(4096, 2)
 	c.WaitUntil(arrival)
-	inner()
+	c.PopPhase(inner)
 	if c.Phase() != "rhs" {
 		t.Fatalf("phase after pop = %q, want rhs", c.Phase())
 	}
 	c.Advance(5e-5)
-	pop()
+	c.PopPhase(pop)
 	// Charges outside any phase land in the "" bucket.
 	c.AdvanceCompute(3e-4)
 	c.WaitUntil(c.Now()) // no-op wait charges nothing
@@ -220,8 +220,8 @@ func TestPushPhaseEmptyKeepsEnclosing(t *testing.T) {
 	pop := c.PushPhase("rk")
 	noop := c.PushPhase("")
 	c.Advance(1e-6)
-	noop()
-	pop()
+	c.PopPhase(noop)
+	c.PopPhase(pop)
 	if got := c.PhaseSplits()["rk"].Compute; got == 0 {
 		t.Fatalf("empty push must keep enclosing phase, rk.Compute = %v", got)
 	}
@@ -230,7 +230,7 @@ func TestPushPhaseEmptyKeepsEnclosing(t *testing.T) {
 func TestPhaseAccountingDoesNotPerturbClock(t *testing.T) {
 	run := func(withPhases bool) float64 {
 		c := NewClock(QDR)
-		var pop func()
+		var pop string
 		if withPhases {
 			pop = c.PushPhase("rhs")
 		}
@@ -238,7 +238,7 @@ func TestPhaseAccountingDoesNotPerturbClock(t *testing.T) {
 		a := c.SendStamp(1<<16, 3)
 		c.WaitUntil(a)
 		if withPhases {
-			pop()
+			c.PopPhase(pop)
 		}
 		return c.Now()
 	}

@@ -488,8 +488,8 @@ func DragonflyCluster(ranks int) (*Topology, error) {
 		return nil, fmt.Errorf("netmodel: dragonfly cluster: %d nodes do not tile p=%d groups=%d", nodes, p, g)
 	}
 	return Dragonfly(DragonflyConfig{
-		RanksPerNode:   rpn,
-		NodesPerRouter: p,
+		RanksPerNode:    rpn,
+		NodesPerRouter:  p,
 		RoutersPerGroup: nodes / (p * g),
 		Groups:          g,
 		IntraAlpha:      2.5e-7, IntraBeta: 8e-11,

@@ -3,14 +3,17 @@
 // observability artifacts instead of the isolated post-hoc tools the
 // paper's figures were reproduced with.
 //
-// It provides three facilities:
-//
-//   - Span tracing (Tracer / RankTracer): per-rank begin/end spans for
-//     RK stages, kernels, gather-scatter exchanges, and communication
-//     phases, each stamped in two clock domains — host wall time and the
-//     netmodel virtual clock — exported as Chrome/Perfetto trace-event
-//     JSON (WritePerfetto) that loads directly in ui.perfetto.dev, with
-//     one track per rank and flow arrows for every wire message.
+//   - Regions (Enter / End): the one way any layer marks a named code
+//     region on its rank. The name alone sets the virtual clock's
+//     accounting phase (PhaseOf), labels the rank's MPI calls as their
+//     mpiP call site, is the row of the rank's gprof-style flat profile
+//     (internal/prof), and names a trace span. So the paper's Fig. 4
+//     profile, its Figs. 9-10 call-site breakdown, the per-phase split
+//     of modeled time and the timeline all read the same regions.
+//   - Span tracing (Tracer): spans from every rank's regions, stamped in
+//     two clock domains — host wall time and the netmodel virtual clock —
+//     plus a flow arrow per wire message, exported as Chrome/Perfetto
+//     trace-event JSON (WritePerfetto) with one track per rank.
 //   - A concurrency-safe metrics Registry (counters, gauges,
 //     fixed-bucket histograms) whose snapshot is served live over expvar
 //     and folded into the per-timestep JSONL stream (StepCollector).
@@ -18,16 +21,14 @@
 //     for inspecting long runs in flight.
 //
 // Recording is cheap and strictly read-only with respect to the
-// simulation: spans and step records read the virtual clock but never
-// advance it, so enabling telemetry changes modeled results by exactly
-// zero.
+// simulation: regions, spans and step records read the virtual clock but
+// never advance it, so enabling telemetry changes modeled results by
+// exactly zero.
 package obs
 
 import (
 	"sync"
 	"time"
-
-	"repro/internal/netmodel"
 )
 
 // Category classifies a span for trace-viewer filtering.
@@ -106,15 +107,8 @@ func (t *Tracer) limit() int {
 	return DefaultCap
 }
 
-// Rank returns the per-rank recording handle for rank id running under
-// clock. A nil Tracer returns a nil handle, whose methods are no-ops,
-// so call sites need no telemetry-enabled checks.
-func (t *Tracer) Rank(id int, clock *netmodel.Clock) *RankTracer {
-	if t == nil {
-		return nil
-	}
-	return &RankTracer{t: t, rank: id, clock: clock}
-}
+// wall returns the host wall seconds since the tracer's epoch.
+func (t *Tracer) wall() float64 { return time.Since(t.epoch).Seconds() }
 
 func (t *Tracer) addSpan(s Span) {
 	t.mu.Lock()
@@ -133,7 +127,7 @@ func (t *Tracer) AddFlow(f Flow) {
 		return
 	}
 	if f.SendWall == 0 {
-		f.SendWall = time.Since(t.epoch).Seconds()
+		f.SendWall = t.wall()
 	}
 	t.mu.Lock()
 	if len(t.flows) >= t.limit() {
@@ -164,37 +158,4 @@ func (t *Tracer) Dropped() (spans, flows int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.droppedSpans, t.droppedFlows
-}
-
-// RankTracer records spans for one rank. It is owned by the rank's
-// goroutine (only the final append synchronizes, inside the shared
-// Tracer). The nil RankTracer is valid and records nothing.
-type RankTracer struct {
-	t     *Tracer
-	rank  int
-	clock *netmodel.Clock
-}
-
-// Span opens a named span and returns the closure that ends it:
-//
-//	stop := rt.Span("ax_deriv_dudr", obs.CatKernel)
-//	... kernel ...
-//	stop()
-//
-// Both clock domains are stamped at open and close. End the span after
-// any virtual-clock charge for the work it covers, so the virtual-time
-// extent includes the modeled cost.
-func (r *RankTracer) Span(name string, cat Category) func() {
-	if r == nil {
-		return func() {}
-	}
-	wall0 := time.Since(r.t.epoch).Seconds()
-	vt0 := r.clock.Now()
-	return func() {
-		r.t.addSpan(Span{
-			Rank: r.rank, Name: name, Cat: cat,
-			WallStart: wall0, WallEnd: time.Since(r.t.epoch).Seconds(),
-			VTStart: vt0, VTEnd: r.clock.Now(),
-		})
-	}
 }

@@ -27,11 +27,10 @@ func TestConcurrentEmission(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			clock := netmodel.NewClock(netmodel.QDR)
-			rt := tr.Rank(rank, clock)
 			c := reg.Counter("test.msgs")
 			h := reg.Histogram("test.sizes", MsgSizeBuckets)
 			for i := 0; i < iters; i++ {
-				stop := rt.Span("kernel", CatKernel)
+				stop := span(tr, rank, clock, "kernel", CatKernel)
 				clock.Advance(1e-6)
 				stop()
 				tr.AddFlow(Flow{Src: rank, Dst: (rank + 1) % ranks, Bytes: 64})
@@ -66,9 +65,8 @@ func TestTracerCap(t *testing.T) {
 	tr := NewTracer()
 	tr.Cap = 10
 	clock := netmodel.NewClock(netmodel.QDR)
-	rt := tr.Rank(0, clock)
 	for i := 0; i < 25; i++ {
-		rt.Span("s", CatKernel)()
+		span(tr, 0, clock, "s", CatKernel)()
 		tr.AddFlow(Flow{})
 	}
 	if got := len(tr.Spans()); got != 10 {
@@ -84,8 +82,6 @@ func TestTracerCap(t *testing.T) {
 // nil-safe — the telemetry-off path of every call site.
 func TestNilTelemetryIsNoOp(t *testing.T) {
 	var tr *Tracer
-	rt := tr.Rank(3, nil)
-	rt.Span("anything", CatStep)()
 	tr.AddFlow(Flow{})
 	var reg *Registry
 	reg.Counter("c").Add(1)
@@ -109,11 +105,10 @@ func TestPerfettoGolden(t *testing.T) {
 	tr := NewTracer()
 	clock0 := netmodel.NewClock(netmodel.QDR)
 	clock1 := netmodel.NewClock(netmodel.QDR)
-	rt0, rt1 := tr.Rank(0, clock0), tr.Rank(1, clock1)
-	stop := rt0.Span("timestep", CatStep)
+	stop := span(tr, 0, clock0, "timestep", CatStep)
 	clock0.Advance(2e-3)
 	stop()
-	stop = rt1.Span("ax_deriv_dudr", CatKernel)
+	stop = span(tr, 1, clock1, "ax_deriv_dudr", CatKernel)
 	clock1.Advance(1e-3)
 	stop()
 	tr.AddFlow(Flow{Src: 0, Dst: 1, Tag: 7, Bytes: 512, SendVT: 1e-4, ArriveVT: 3e-4, Site: "gs_op"})
@@ -325,5 +320,15 @@ func TestDebugServer(t *testing.T) {
 		if path == "/debug/vars" && !strings.Contains(string(body), "cmtbone") {
 			t.Fatalf("/debug/vars missing the cmtbone var:\n%s", body)
 		}
+	}
+}
+
+// span records one span on rank's track from now until the returned
+// func runs — the tracer half of a region, without a comm rank.
+func span(t *Tracer, rank int, clock *netmodel.Clock, name string, cat Category) func() {
+	wall0, vt0 := t.wall(), clock.Now()
+	return func() {
+		t.addSpan(Span{Rank: rank, Name: name, Cat: cat,
+			WallStart: wall0, WallEnd: t.wall(), VTStart: vt0, VTEnd: clock.Now()})
 	}
 }

@@ -21,36 +21,34 @@ const (
 // Phases lists every phase label in reporting order.
 var Phases = []string{PhaseRHS, PhaseGS, PhaseRK, PhaseReduce, PhaseRebalance, PhaseRecovery, PhaseOther}
 
-// PhaseOf maps a span (by name and category) to its application phase.
-// Container spans that merely bracket a whole step return "" — callers
-// treat that as "keep the enclosing phase". The name mapping wins over
-// the category fallback so subsystem spans recorded under generic
-// categories (rebalance_migrate is CatComm, heartbeat is CatComm) land
-// in their own phases.
+// PhaseOf maps a region (by name and category) to its application
+// phase. Container regions (CatStep) that merely bracket a whole step or
+// solve return "" — the clock treats that as "keep the enclosing phase".
+// The name mapping wins over the category fallback so subsystem regions
+// recorded under generic categories (rebalance_migrate is CatComm,
+// heartbeat is CatComm) land in their own phases.
 func PhaseOf(name string, cat Category) string {
 	switch name {
-	case "timestep":
-		return "" // container: inner spans carry the phase
-	case "rebalance_epoch", "rebalance_migrate":
+	case "rebalance_epoch", "rebalance_migrate", "loadbal_plan":
 		return PhaseRebalance
 	case "heartbeat", "auto_checkpoint", "recovery":
 		return PhaseRecovery
-	case "glmax", "glsum":
+	case "glmax", "glsum", "glsc":
 		return PhaseReduce
 	}
 	if strings.HasPrefix(name, "gs_") {
-		// gs_op, gs_begin, gs_finish, gs_op_fields, gs_setup, gs_autotune.
+		// gs_op, gs_setup, gs_autotune.
 		return PhaseGS
 	}
 	switch cat {
+	case CatStep:
+		return "" // container: inner regions carry the phase
 	case CatGS:
 		return PhaseGS
 	case CatRK:
 		return PhaseRK
 	case CatKernel:
 		return PhaseRHS
-	case CatComm:
-		return PhaseOther
 	}
 	return PhaseOther
 }

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/sem"
 	"repro/internal/solver"
 )
@@ -128,9 +129,9 @@ func (c *Cloud) SetParticles(ps []Particle) {
 
 // GlobalCount returns the total particle count across ranks (collective).
 func (c *Cloud) GlobalCount() int64 {
-	c.rank.SetSite("particle_count")
+	rg := c.s.Regions().Enter("particle_count", obs.CatComm)
 	out := c.rank.AllreduceInts(comm.OpSum, []int64{int64(len(c.parts))})
-	c.rank.SetSite("")
+	rg.End()
 	return out[0]
 }
 
@@ -282,7 +283,7 @@ func (c *Cloud) FluidVelocityAt(p [3]float64) [3]float64 {
 // MassLoading > 0, and migrates particles that left the rank's subdomain.
 // Collective.
 func (c *Cloud) Step(dt float64) {
-	stop := c.s.Prof.Start("particle_update")
+	rg := c.s.Regions().Enter("particle_update", obs.CatKernel)
 	if c.Cfg.MassLoading > 0 {
 		c.s.EnableSource()
 		c.s.ZeroSource()
@@ -301,7 +302,7 @@ func (c *Cloud) Step(dt float64) {
 			c.deposit(p, drag)
 		}
 	}
-	stop()
+	rg.End()
 	c.Migrate()
 }
 
@@ -365,8 +366,7 @@ func (c *Cloud) deposit(p *Particle, drag [3]float64) {
 // pattern particle tracking adds to the mini-app). Particles outside a
 // non-periodic domain are dropped. Collective.
 func (c *Cloud) Migrate() {
-	c.rank.SetSite("particle_migrate")
-	defer c.rank.SetSite("")
+	defer c.s.Regions().Enter("particle_migrate", obs.CatComm).End()
 	p := c.rank.Size()
 	keep := c.parts[:0]
 	outbound := make(map[int][]Particle)
@@ -412,9 +412,9 @@ func (c *Cloud) MeanSpeed() float64 {
 	for _, pt := range c.parts {
 		sum += math.Sqrt(pt.Vel[0]*pt.Vel[0] + pt.Vel[1]*pt.Vel[1] + pt.Vel[2]*pt.Vel[2])
 	}
-	c.rank.SetSite("particle_stats")
+	rg := c.s.Regions().Enter("particle_stats", obs.CatComm)
 	out := c.rank.Allreduce(comm.OpSum, []float64{sum, float64(len(c.parts))})
-	c.rank.SetSite("")
+	rg.End()
 	if out[1] == 0 {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // Dispersion statistics — the quantities particle-laden turbulence
@@ -28,9 +29,9 @@ func (c *Cloud) MarkOrigins() {
 	for i := range counts {
 		counts[i] = len(local)
 	}
-	c.rank.SetSite("particle_stats")
+	rg := c.s.Regions().Enter("particle_stats", obs.CatComm)
 	all, _ := c.rank.Alltoallv(repeat(local, c.rank.Size()), counts)
-	c.rank.SetSite("")
+	rg.End()
 	for i := 0; i+4 <= len(all); i += 4 {
 		c.origins[int64(all[i])] = [3]float64{all[i+1], all[i+2], all[i+3]}
 	}
@@ -78,9 +79,9 @@ func (c *Cloud) MeanSquareDisplacement() float64 {
 		sum += d2
 		count++
 	}
-	c.rank.SetSite("particle_stats")
+	rg := c.s.Regions().Enter("particle_stats", obs.CatComm)
 	out := c.rank.Allreduce(comm.OpSum, []float64{sum, count})
-	c.rank.SetSite("")
+	rg.End()
 	if out[1] == 0 {
 		return 0
 	}
@@ -98,9 +99,9 @@ func (c *Cloud) VelocityVariance() float64 {
 			sq += p.Vel[d] * p.Vel[d]
 		}
 	}
-	c.rank.SetSite("particle_stats")
+	rg := c.s.Regions().Enter("particle_stats", obs.CatComm)
 	out := c.rank.Allreduce(comm.OpSum, []float64{sum[0], sum[1], sum[2], sq, float64(len(c.parts))})
-	c.rank.SetSite("")
+	rg.End()
 	n := out[4]
 	if n == 0 {
 		return 0

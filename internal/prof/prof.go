@@ -48,48 +48,58 @@ func New() *Profiler {
 	}
 }
 
-// Start opens a region and returns the function closing it. Regions
-// nest: time inside an inner region is charged to the inner region's
-// self time and to the outer region's total (inclusive) time only.
-//
-//	defer p.Start("compute_flux")()
-func (p *Profiler) Start(name string) func() {
+// Start opens a region on top of the profiler's stack; Stop closes it.
+// Regions nest: time inside an inner region is charged to the inner
+// region's self time and to the outer region's total (inclusive) time
+// only.
+func (p *Profiler) Start(name string) {
+	now := time.Now()
 	if !p.running {
 		p.running = true
-		p.began = time.Now()
+		p.began = now
 	}
-	p.stack = append(p.stack, frame{name: name, start: time.Now()})
+	p.stack = append(p.stack, frame{name: name, start: now})
+}
+
+// Stop closes the innermost open region, which must be name.
+func (p *Profiler) Stop(name string) {
 	depth := len(p.stack)
-	return func() {
-		if len(p.stack) != depth {
-			panic(fmt.Sprintf("prof: unbalanced Stop for region %q (depth %d, want %d)",
-				name, len(p.stack), depth))
-		}
-		f := p.stack[depth-1]
-		p.stack = p.stack[:depth-1]
-		total := time.Since(f.start).Seconds()
-		acc, ok := p.regions[f.name]
-		if !ok {
-			acc = &regionAcc{}
-			p.regions[f.name] = acc
-		}
-		acc.calls++
-		acc.total += total
-		acc.self += total - f.child
-		parent := "<root>"
-		if depth >= 2 {
-			p.stack[depth-2].child += total
-			parent = p.stack[depth-2].name
-		}
-		ek := [2]string{parent, f.name}
-		e, ok := p.edges[ek]
-		if !ok {
-			e = &edgeAcc{}
-			p.edges[ek] = e
-		}
-		e.calls++
-		e.total += total
+	if depth == 0 || p.stack[depth-1].name != name {
+		panic(fmt.Sprintf("prof: unbalanced Stop for region %q (depth %d)", name, depth))
 	}
+	f := p.stack[depth-1]
+	p.stack = p.stack[:depth-1]
+	total := time.Since(f.start).Seconds()
+	p.add(f.name, 1, total, total-f.child)
+	parent := "<root>"
+	if depth >= 2 {
+		p.stack[depth-2].child += total
+		parent = p.stack[depth-2].name
+	}
+	p.addEdge([2]string{parent, f.name}, 1, total)
+}
+
+// add charges calls and inclusive/exclusive seconds to region name.
+func (p *Profiler) add(name string, calls int64, total, self float64) {
+	a := p.regions[name]
+	if a == nil {
+		a = &regionAcc{}
+		p.regions[name] = a
+	}
+	a.calls += calls
+	a.total += total
+	a.self += self
+}
+
+// addEdge charges calls and seconds to the parent->child arc k.
+func (p *Profiler) addEdge(k [2]string, calls int64, total float64) {
+	e := p.edges[k]
+	if e == nil {
+		e = &edgeAcc{}
+		p.edges[k] = e
+	}
+	e.calls += calls
+	e.total += total
 }
 
 // Finish closes the profiler's wall-clock window; further Starts reopen
@@ -159,53 +169,17 @@ func (p *Profiler) Edges() []Edge {
 // Merge returns a profiler-less aggregate of many ranks' flat profiles:
 // summed calls and times per region, plus the summed elapsed window.
 func Merge(profs []*Profiler) ([]RegionStat, []Edge, float64) {
-	regions := map[string]*RegionStat{}
-	edges := map[[2]string]*Edge{}
-	elapsed := 0.0
+	sum := New()
 	for _, p := range profs {
-		elapsed += p.Elapsed()
-		for _, r := range p.Flat() {
-			a, ok := regions[r.Name]
-			if !ok {
-				a = &RegionStat{Name: r.Name}
-				regions[r.Name] = a
-			}
-			a.Calls += r.Calls
-			a.Total += r.Total
-			a.Self += r.Self
+		sum.elapsed += p.Elapsed()
+		for name, a := range p.regions {
+			sum.add(name, a.calls, a.total, a.self)
 		}
-		for _, e := range p.Edges() {
-			k := [2]string{e.Parent, e.Child}
-			a, ok := edges[k]
-			if !ok {
-				a = &Edge{Parent: e.Parent, Child: e.Child}
-				edges[k] = a
-			}
-			a.Calls += e.Calls
-			a.Total += e.Total
+		for k, e := range p.edges {
+			sum.addEdge(k, e.calls, e.total)
 		}
 	}
-	rs := make([]RegionStat, 0, len(regions))
-	for _, r := range regions {
-		rs = append(rs, *r)
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Self != rs[j].Self {
-			return rs[i].Self > rs[j].Self
-		}
-		return rs[i].Name < rs[j].Name
-	})
-	es := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		es = append(es, *e)
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Total != es[j].Total {
-			return es[i].Total > es[j].Total
-		}
-		return es[i].Parent+es[i].Child < es[j].Parent+es[j].Child
-	})
-	return rs, es, elapsed
+	return sum.Flat(), sum.Edges(), sum.elapsed
 }
 
 // FormatFlat renders a flat profile as a gprof-style text table; total is

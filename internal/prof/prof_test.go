@@ -15,9 +15,9 @@ func spin(d time.Duration) {
 func TestFlatProfileBasics(t *testing.T) {
 	p := New()
 	for i := 0; i < 3; i++ {
-		stop := p.Start("kernel")
+		p.Start("kernel")
 		spin(2 * time.Millisecond)
-		stop()
+		p.Stop("kernel")
 	}
 	p.Finish()
 	flat := p.Flat()
@@ -38,12 +38,12 @@ func TestFlatProfileBasics(t *testing.T) {
 
 func TestNestedSelfVsTotal(t *testing.T) {
 	p := New()
-	stopOuter := p.Start("outer")
+	p.Start("outer")
 	spin(time.Millisecond)
-	stopInner := p.Start("inner")
+	p.Start("inner")
 	spin(4 * time.Millisecond)
-	stopInner()
-	stopOuter()
+	p.Stop("inner")
+	p.Stop("outer")
 	p.Finish()
 
 	byName := map[string]RegionStat{}
@@ -65,11 +65,14 @@ func TestNestedSelfVsTotal(t *testing.T) {
 
 func TestCallGraphEdges(t *testing.T) {
 	p := New()
-	stop := p.Start("step")
-	p.Start("flux")()
-	p.Start("flux")()
-	p.Start("exchange")()
-	stop()
+	p.Start("step")
+	p.Start("flux")
+	p.Stop("flux")
+	p.Start("flux")
+	p.Stop("flux")
+	p.Start("exchange")
+	p.Stop("exchange")
+	p.Stop("step")
 	p.Finish()
 
 	edges := p.Edges()
@@ -90,22 +93,22 @@ func TestCallGraphEdges(t *testing.T) {
 
 func TestUnbalancedStopPanics(t *testing.T) {
 	p := New()
-	stopA := p.Start("a")
-	p.Start("b") // never stopped before stopA
+	p.Start("a")
+	p.Start("b") // never stopped before a
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unbalanced stop must panic")
 		}
 	}()
-	stopA()
+	p.Stop("a")
 }
 
 func TestMergeAcrossRanks(t *testing.T) {
 	mk := func() *Profiler {
 		p := New()
-		stop := p.Start("work")
+		p.Start("work")
 		spin(time.Millisecond)
-		stop()
+		p.Stop("work")
 		p.Finish()
 		return p
 	}
@@ -124,7 +127,8 @@ func TestMergeAcrossRanks(t *testing.T) {
 
 func TestFormatFlat(t *testing.T) {
 	p := New()
-	p.Start("derivative")()
+	p.Start("derivative")
+	p.Stop("derivative")
 	p.Finish()
 	out := FormatFlat(p.Flat(), p.Elapsed())
 	if !strings.Contains(out, "derivative") || !strings.Contains(out, "% time") {
@@ -134,9 +138,10 @@ func TestFormatFlat(t *testing.T) {
 
 func TestFormatCallGraph(t *testing.T) {
 	p := New()
-	stop := p.Start("a")
-	p.Start("b")()
-	stop()
+	p.Start("a")
+	p.Start("b")
+	p.Stop("b")
+	p.Stop("a")
 	p.Finish()
 	out := FormatCallGraph(p.Edges())
 	if !strings.Contains(out, "a -> b") {
@@ -146,7 +151,8 @@ func TestFormatCallGraph(t *testing.T) {
 
 func TestFinishIdempotent(t *testing.T) {
 	p := New()
-	p.Start("x")()
+	p.Start("x")
+	p.Stop("x")
 	p.Finish()
 	e1 := p.Elapsed()
 	p.Finish()
@@ -154,7 +160,8 @@ func TestFinishIdempotent(t *testing.T) {
 		t.Fatal("double Finish changed elapsed")
 	}
 	// Reopening the window accumulates.
-	p.Start("y")()
+	p.Start("y")
+	p.Stop("y")
 	p.Finish()
 	if p.Elapsed() < e1 {
 		t.Fatal("elapsed shrank after reopen")

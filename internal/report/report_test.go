@@ -15,8 +15,8 @@ func sampleRun(t *testing.T) (*comm.Stats, []*prof.Profiler) {
 	profs := make([]*prof.Profiler, 2)
 	stats, err := comm.RunSimple(2, func(r *comm.Rank) error {
 		p := prof.New()
-		stop := p.Start("gs_op")
-		r.SetSite("gs_op")
+		p.Start("gs_op")
+		r.SwapSite("gs_op")
 		if r.ID() == 0 {
 			r.Send(1, 0, []float64{1, 2, 3})
 			r.Recv(1, 0)
@@ -24,8 +24,8 @@ func sampleRun(t *testing.T) (*comm.Stats, []*prof.Profiler) {
 			r.Recv(0, 0)
 			r.Send(0, 0, []float64{4})
 		}
-		r.SetSite("")
-		stop()
+		r.SwapSite("")
+		p.Stop("gs_op")
 		p.Finish()
 		profs[r.ID()] = p
 		return nil

@@ -77,8 +77,8 @@ type Job struct {
 	err   string
 
 	// Scheduling bookkeeping (guarded by the server mutex, not job.mu).
-	slot        int   // current/last slot, -1 before first dispatch
-	resumeStep  int   // first step of the next segment (0 = fresh start)
+	slot        int // current/last slot, -1 before first dispatch
+	resumeStep  int // first step of the next segment (0 = fresh start)
 	snaps       [][]byte
 	preemptions int
 	resumes     int

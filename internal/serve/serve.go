@@ -64,8 +64,8 @@ type Server struct {
 	nextID    int64
 	nextSeq   int64
 	jobs      map[int64]*Job
-	queue     []*Job          // StateQueued / StateSuspended, awaiting dispatch
-	running   map[int64]*Job  // jobs holding a slot (Running or Suspending)
+	queue     []*Job         // StateQueued / StateSuspended, awaiting dispatch
+	running   map[int64]*Job // jobs holding a slot (Running or Suspending)
 	freeSlots []int
 	usage     map[string]float64 // tenant -> consumed rank-seconds (fair share)
 	wg        sync.WaitGroup

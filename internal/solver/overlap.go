@@ -118,10 +118,10 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		s.surfaceFluxRuns(s.bndRuns)
 		s.copyTraces(&s.exU, &s.faceU, s.bndRuns)
 		s.copyTraces(&s.exF, &s.faceF, s.bndRuns)
-		stop := s.span("gs_op", obs.CatGS)
+		rg := s.reg.Enter("gs_op", obs.CatGS)
 		s.pendU.Begin(s.exU[:], comm.OpSum)
 		s.pendF.Begin(s.exF[:], comm.OpSum)
-		stop()
+		rg.End()
 
 		s.volumeRuns(in, s.intRuns, false)
 		s.faceExtractRuns(in, s.intRuns)
@@ -129,10 +129,10 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		s.copyTraces(&s.exU, &s.faceU, s.intRuns)
 		s.copyTraces(&s.exF, &s.faceF, s.intRuns)
 
-		stop = s.span("gs_op", obs.CatGS)
+		rg = s.reg.Enter("gs_op", obs.CatGS)
 		s.pendU.Finish()
 		s.pendF.Finish()
-		stop()
+		rg.End()
 
 		s.volumeRuns(in, s.bndRuns, false)
 	} else {
@@ -141,25 +141,25 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		// (which extracts the viscous flux traces) before it can start.
 		s.faceExtractRuns(in, s.bndRuns)
 		s.copyTraces(&s.exU, &s.faceU, s.bndRuns)
-		stop := s.span("gs_op", obs.CatGS)
+		rg := s.reg.Enter("gs_op", obs.CatGS)
 		s.pendU.Begin(s.exU[:], comm.OpSum)
-		stop()
+		rg.End()
 
 		s.volumeRuns(in, s.bndRuns, true)
 		s.copyTraces(&s.exF, &s.faceF, s.bndRuns)
-		stop = s.span("gs_op", obs.CatGS)
+		rg = s.reg.Enter("gs_op", obs.CatGS)
 		s.pendF.Begin(s.exF[:], comm.OpSum)
-		stop()
+		rg.End()
 
 		s.volumeRuns(in, s.intRuns, true)
 		s.faceExtractRuns(in, s.intRuns)
 		s.copyTraces(&s.exU, &s.faceU, s.intRuns)
 		s.copyTraces(&s.exF, &s.faceF, s.intRuns)
 
-		stop = s.span("gs_op", obs.CatGS)
+		rg = s.reg.Enter("gs_op", obs.CatGS)
 		s.pendU.Finish()
 		s.pendF.Finish()
-		stop()
+		rg.End()
 	}
 
 	s.rhsTail()

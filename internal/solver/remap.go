@@ -36,8 +36,7 @@ func (s *Solver) Remap(newOwn *mesh.Ownership, sidecar []float64, k int) (newSid
 	if len(sidecar) != old.Nel*k {
 		panic(fmt.Sprintf("solver: Remap sidecar has %d floats, want %d*%d", len(sidecar), old.Nel, k))
 	}
-	stop := s.span("rebalance_migrate", obs.CatComm)
-	s.Rank.SetSite("loadbal_migrate")
+	rg := s.reg.Enter("rebalance_migrate", obs.CatComm)
 
 	rank := s.Rank.ID()
 	p := s.Rank.Size()
@@ -134,10 +133,9 @@ func (s *Solver) Remap(newOwn *mesh.Ownership, sidecar []float64, k int) (newSid
 	}
 	s.allocScratch()
 	method := s.gsh.Method()
-	s.Rank.SetSite("")
 	s.setupGS()
 	s.gsh.SetMethod(method)
 	s.rebuildOverlap()
-	stop()
+	rg.End()
 	return newSidecar, movedElems, movedBytes
 }

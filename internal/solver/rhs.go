@@ -83,7 +83,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	// --- gs_op: nearest-neighbor exchange of state and flux traces.
 	// After the exchange each shared face point holds in+out sums;
 	// unshared (true boundary) points are untouched.
-	stop := s.span("gs_op", obs.CatGS)
+	rg := s.reg.Enter("gs_op", obs.CatGS)
 	for c := 0; c < NumFields; c++ {
 		copy(s.exU[c], s.faceU[c])
 		copy(s.exF[c], s.faceF[c])
@@ -98,7 +98,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 			s.gsh.Op(s.exF[c], comm.OpSum)
 		}
 	}
-	stop()
+	rg.End()
 
 	s.rhsTail()
 }
@@ -107,7 +107,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 // per point, shared by all 15 (field, direction) flux evaluations.
 func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	vol := len(s.prP)
-	stop := s.span("compute_primitive", obs.CatKernel)
+	rg := s.reg.Enter("compute_primitive", obs.CatKernel)
 	rho, mx, my, mz, en := in[IRho], in[IMomX], in[IMomY], in[IMomZ], in[IEnergy]
 	vx, vy, vz, pr := s.velP[0], s.velP[1], s.velP[2], s.prP
 	s.pool.For(vol, func(lo, hi int) {
@@ -121,7 +121,7 @@ func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	})
 	s.chargeCompute(sem.OpCount{Mul: int64(vol) * 8, Add: int64(vol) * 3,
 		Load: int64(vol) * NumFields, Store: int64(vol) * 4}, pointwiseTraits)
-	stop()
+	rg.End()
 }
 
 // faceExtractRuns is full2face_cmt over the given element runs: gather
@@ -133,7 +133,7 @@ func (s *Solver) faceExtractRuns(in *[NumFields][]float64, runs [][2]int) {
 	n := s.Cfg.N
 	n3 := n * n * n
 	fpe := sem.NFaces * n * n
-	stop := s.span("full2face_cmt", obs.CatKernel)
+	rg := s.reg.Enter("full2face_cmt", obs.CatKernel)
 	var moveOps sem.OpCount
 	for _, run := range runs {
 		elo, ehi := run[0], run[1]
@@ -143,7 +143,7 @@ func (s *Solver) faceExtractRuns(in *[NumFields][]float64, runs [][2]int) {
 		}
 	}
 	s.chargeCompute(moveOps, pointwiseTraits)
-	stop()
+	rg.End()
 }
 
 // volumeRuns is the derivative kernel (ax_) phase — the dominant cost —
@@ -170,7 +170,7 @@ func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous boo
 				}
 			})
 			for d := 0; d < 3; d++ {
-				stop := s.span("compute_flux", obs.CatKernel)
+				rg := s.reg.Enter("compute_flux", obs.CatKernel)
 				vn := s.velP[d]
 				switch {
 				case c == IRho:
@@ -201,22 +201,22 @@ func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous boo
 				}
 				s.chargeCompute(sem.OpCount{Mul: int64(volr), Add: int64(volr),
 					Load: int64(volr) * 2, Store: int64(volr)}, pointwiseTraits)
-				stop()
+				rg.End()
 
 				if viscous {
-					stop = s.span("full2face_cmt", obs.CatKernel)
+					rg = s.reg.Enter("full2face_cmt", obs.CatKernel)
 					moveOps := sem.Full2FaceDirPool(s.pool, n, s.fx[off:off+volr], nelr,
 						s.faceF[c][elo*fpe:ehi*fpe], d)
 					s.chargeCompute(moveOps, pointwiseTraits)
-					stop()
+					rg.End()
 				}
 
 				dir := sem.Direction(d)
-				stop = s.span("ax_deriv_"+dir.String(), obs.CatKernel)
+				rg = s.reg.Enter(derivRegion[d], obs.CatKernel)
 				ops := sem.DerivPool(s.pool, dir, s.Cfg.Variant, s.Ref,
 					s.fx[off:off+volr], s.dwork[off:off+volr], nelr)
 				s.chargeCompute(ops, derivTraits(dir, s.Cfg.Variant))
-				stop()
+				rg.End()
 
 				s.pool.For(volr, func(lo, hi int) {
 					for i := off + lo; i < off+hi; i++ {
@@ -246,7 +246,7 @@ func (s *Solver) surfaceFluxRuns(runs [][2]int) {
 	}
 	n := s.Cfg.N
 	n2 := n * n
-	stop := s.span("compute_flux_surface", obs.CatKernel)
+	rg := s.reg.Enter("compute_flux_surface", obs.CatKernel)
 	faceLen := 0
 	for _, run := range runs {
 		rlo := run[0]
@@ -277,7 +277,7 @@ func (s *Solver) surfaceFluxRuns(runs [][2]int) {
 	}
 	s.chargeCompute(sem.OpCount{Mul: int64(faceLen) * 6, Add: int64(faceLen) * 4,
 		Load: int64(faceLen) * 2, Store: int64(faceLen)}, pointwiseTraits)
-	stop()
+	rg.End()
 }
 
 // rhsTail is everything after the face exchange — numerical flux + lift,
@@ -296,7 +296,7 @@ func (s *Solver) rhsTail() {
 	// lift factor, scatter-added into the volume residual. Boundary
 	// face points (bmask == 0) either pass untouched (freestream) or
 	// see a mirror ghost state (slip wall).
-	stop := s.span("numerical_flux", obs.CatKernel)
+	rg := s.reg.Enter("numerical_flux", obs.CatKernel)
 	lam := s.lambda
 	wall := s.Cfg.BC == BCWall
 	for c := 0; c < NumFields; c++ {
@@ -332,13 +332,13 @@ func (s *Solver) rhsTail() {
 	}
 	s.chargeCompute(sem.OpCount{Mul: int64(faceLen) * NumFields * 4, Add: int64(faceLen) * NumFields * 4,
 		Load: int64(faceLen) * NumFields * 4, Store: int64(faceLen) * NumFields}, pointwiseTraits)
-	stop()
+	rg.End()
 
 	// --- source terms: the conservation law's R (multiphase coupling).
 	// Zero — i.e. absent — in the paper's current CMT-bone; populated by
 	// couplers such as the particle cloud.
 	if s.Source[0] != nil {
-		stop = s.span("source_terms", obs.CatKernel)
+		rg = s.reg.Enter("source_terms", obs.CatKernel)
 		for c := 0; c < NumFields; c++ {
 			src := s.Source[c]
 			dst := s.rhs[c]
@@ -350,18 +350,18 @@ func (s *Solver) rhsTail() {
 		}
 		s.chargeCompute(sem.OpCount{Add: int64(vol) * NumFields,
 			Load: 2 * int64(vol) * NumFields, Store: int64(vol) * NumFields}, pointwiseTraits)
-		stop()
+		rg.End()
 	}
 
 	// --- dealiasing: map each field to the fine mesh and back (cost
 	// path of the dealiased flux evaluation).
 	if s.Cfg.Dealias {
-		stop = s.span("dealias", obs.CatKernel)
+		rg = s.reg.Enter("dealias", obs.CatKernel)
 		var ops sem.OpCount
 		for c := 0; c < NumFields; c++ {
 			ops = ops.Plus(s.Ref.DealiasRoundTripPool(s.pool, s.rhs[c], nel, s.deaBufs))
 		}
 		s.chargeCompute(ops, pointwiseTraits)
-		stop()
+		rg.End()
 	}
 }

@@ -105,11 +105,11 @@ type Solver struct {
 	// Lambda is the current global maximum wave speed (set by Lambda()).
 	lambda float64
 
-	// Telemetry (nil handles record nothing).
-	rt        *obs.RankTracer // this rank's span recorder
-	prevSplit comm.OpTotals   // MPI totals at the end of the last step
-	prevVT    float64         // virtual clock at the end of the last step
-	simTime   float64         // accumulated simulated time
+	// Telemetry.
+	reg       *obs.Regions  // this rank's regions: phase, site, Prof row, span
+	prevSplit comm.OpTotals // MPI totals at the end of the last step
+	prevVT    float64       // virtual clock at the end of the last step
+	simTime   float64       // accumulated simulated time
 }
 
 // New builds a solver on rank r. Collective: every rank must call it with
@@ -154,9 +154,9 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		Ref:   ref,
 		Prof:  prof.New(),
 		rx:    2, // reference element [-1,1] onto unit cube
-		rt:    cfg.Obs.Rank(r.WorldID(), r.Clock()),
 		ow:    cfg.Ownership,
 	}
+	s.reg = obs.NewRegions(r, s.Prof, cfg.Obs)
 	vol := local.Nel * cfg.N * cfg.N * cfg.N
 	for c := 0; c < NumFields; c++ {
 		s.U[c] = make([]float64, vol)
@@ -181,20 +181,17 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		// discovery result — no setup collectives at all. Validate
 		// guaranteed the table covers every rank, so the skip is
 		// symmetric.
-		gsh, err := gs.SetupFromTopology(r, cfg.GSTopo[r.ID()])
+		gsh, err := gs.SetupFromTopology(s.reg, cfg.GSTopo[r.ID()])
 		if err != nil {
 			s.pool.Close()
 			return nil, fmt.Errorf("solver: cached gs topology: %w", err)
 		}
 		s.gsh = gsh
-		s.gsh.SetSpanner(s.rt)
 	} else {
 		s.setupGS()
 	}
 	if cfg.AutoTune {
-		stop := s.span("gs_autotune", obs.CatComm)
 		gs.TuneModeled(s.gsh, cfg.TuneTrials)
-		stop()
 	} else {
 		s.gsh.SetMethod(cfg.GSMethod)
 	}
@@ -286,35 +283,13 @@ func (s *Solver) initWeights() {
 // element set (gs_setup, with its generalized all-to-all discovery
 // phase). Collective.
 func (s *Solver) setupGS() {
-	stop := s.span("gs_setup", obs.CatComm)
-	s.gsh = gs.Setup(s.Rank, s.Local.DGFaceIDs())
-	stop()
-	s.gsh.SetSpanner(s.rt)
+	s.gsh = gs.SetupWith(s.reg, s.Local.DGFaceIDs())
 }
 
-// span opens both a profiler region and a telemetry span under the same
-// name — and pushes the matching accounting phase on the rank's virtual
-// clock, so every modeled advance inside the region is attributed to its
-// application phase (always on; the clock's `now` is untouched, so
-// results are bit-identical). Returns the closure ending all three.
-// Close it after the kernel's chargeCompute so the span's virtual-time
-// extent covers the modeled cost of the work.
-func (s *Solver) span(name string, cat obs.Category) func() {
-	popPhase := s.Rank.Clock().PushPhase(obs.PhaseOf(name, cat))
-	stopProf := s.Prof.Start(name)
-	if s.rt == nil {
-		return func() {
-			stopProf()
-			popPhase()
-		}
-	}
-	stopSpan := s.rt.Span(name, cat)
-	return func() {
-		stopProf()
-		stopSpan()
-		popPhase()
-	}
-}
+// Regions returns this rank's region recorder, through which the solver
+// and the subsystems layered on it (load balancing, fault recovery,
+// diagnostics, particles) enter their regions.
+func (s *Solver) Regions() *obs.Regions { return s.reg }
 
 // GS exposes the face gather-scatter handle (for reporting).
 func (s *Solver) GS() *gs.GS { return s.gsh }
@@ -453,13 +428,6 @@ func (s *Solver) Ownership() *mesh.Ownership {
 	return s.ow
 }
 
-// TraceSpan opens a named profiler region + telemetry span on this rank
-// (for subsystems layered on the solver, e.g. the load balancer's
-// rebalance epochs). Close the returned func to end it.
-func (s *Solver) TraceSpan(name string, cat obs.Category) func() {
-	return s.span(name, cat)
-}
-
 // derivTraits returns the hw traits matching the configured kernel
 // variant and direction.
 func derivTraits(dir sem.Direction, v sem.KernelVariant) hw.Traits {
@@ -478,6 +446,10 @@ func derivTraits(dir sem.Direction, v sem.KernelVariant) hw.Traits {
 		return hw.DudtBasic
 	}
 }
+
+// derivRegion names each direction's derivative region (the paper's
+// ax_ kernels), built once so entering one allocates nothing.
+var derivRegion = [3]string{"ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt"}
 
 // pointwiseTraits models simple streaming arithmetic (flux evaluation,
 // vector updates).
@@ -512,8 +484,8 @@ func (s *Solver) Integrate(field int) float64 {
 			}
 		}
 	}
-	s.Rank.SetSite("glsum")
+	rg := s.reg.Enter("glsum", obs.CatComm)
 	out := s.Rank.Allreduce(comm.OpSum, []float64{local * jac})
-	s.Rank.SetSite("")
+	rg.End()
 	return out[0]
 }

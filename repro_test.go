@@ -17,44 +17,55 @@ import (
 )
 
 // TestFig4DerivativeDominates gates the Figure 4 claim: "the majority of
-// application time is spent in derivative calculation".
+// application time is spent in derivative calculation". Each region's
+// self time is its minimum over repeated identical solves, so a burst of
+// scheduler noise landing in one region on one solve does not decide
+// the comparison.
 func TestFig4DerivativeDominates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("profile-share assertions are meaningless under the race detector")
 	}
-	_, err := comm.RunSimple(1, func(r *comm.Rank) error {
-		cfg := solver.DefaultConfig(1, 10, 2)
-		s, err := solver.New(r, cfg)
+	const solves = 5
+	self := map[string]float64{}
+	for rep := 0; rep < solves; rep++ {
+		_, err := comm.RunSimple(1, func(r *comm.Rank) error {
+			cfg := solver.DefaultConfig(1, 10, 2)
+			s, err := solver.New(r, cfg)
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
+			s.Run(3)
+			for _, reg := range s.Prof.Flat() {
+				if v, seen := self[reg.Name]; !seen || reg.Self < v {
+					self[reg.Name] = reg.Self
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
-		s.Run(3)
-		self := map[string]float64{}
-		total := 0.0
-		for _, reg := range s.Prof.Flat() {
-			self[reg.Name] += reg.Self
-			total += reg.Self
+	}
+	total := 0.0
+	for _, v := range self {
+		total += v
+	}
+	deriv := self["ax_deriv_dudr"] + self["ax_deriv_duds"] + self["ax_deriv_dudt"]
+	if deriv < 0.35*total {
+		t.Errorf("derivative kernel is %.1f%% of self time, want the dominant share",
+			100*deriv/total)
+	}
+	// It must beat every other single region.
+	for name, v := range self {
+		switch name {
+		case "ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt":
+			continue
 		}
-		deriv := self["ax_deriv_dudr"] + self["ax_deriv_duds"] + self["ax_deriv_dudt"]
-		if deriv < 0.35*total {
-			t.Errorf("derivative kernel is %.1f%% of self time, want the dominant share",
-				100*deriv/total)
+		if v > deriv {
+			t.Errorf("region %s (%.3fs) outweighs the derivative kernel (%.3fs)", name, v, deriv)
 		}
-		// It must beat every other single region.
-		for name, v := range self {
-			switch name {
-			case "ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt":
-				continue
-			}
-			if v > deriv {
-				t.Errorf("region %s (%.3fs) outweighs the derivative kernel (%.3fs)", name, v, deriv)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
