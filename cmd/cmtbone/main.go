@@ -56,8 +56,8 @@ func main() {
 	showMPI := flag.Bool("mpiprofile", false, "print the MPI (mpiP-style) profiles")
 	showDiag := flag.Bool("diag", false, "print flow diagnostics and the density modal spectrum")
 	ckptDir := flag.String("ckpt", "", "write a per-rank checkpoint of the final state into this directory")
-	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline of per-rank spans to this file")
-	metricsOut := flag.String("metrics", "", "write a step-metrics JSONL stream (one record per timestep) to this file")
+	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline of per-rank spans to this file (tcp transport: one <name>.rank<r><ext> shard per process)")
+	metricsOut := flag.String("metrics", "", "write a step-metrics JSONL stream (one record per timestep) to this file (tcp transport: one <name>.rank<r><ext> shard per process)")
 	debugAddr := flag.String("debug-addr", "", "serve live pprof and expvar on this address (e.g. :6060)")
 	workers := flag.Int("workers", 0, "intra-rank worker-pool width for the spectral-element kernels (0 = GOMAXPROCS/ranks, min 1)")
 	useLB := flag.Bool("loadbal", false, "enable dynamic load balancing (measured-cost SFC repartitioning with element migration)")
@@ -85,6 +85,14 @@ func main() {
 		// The balancer aggregates per-rank state in shared slices; over
 		// TCP each process only holds its own rank's share.
 		log.Fatalf("-transport=tcp cannot be combined with -loadbal")
+	}
+	if useTCP {
+		if *traceOut != "" {
+			*traceOut = cli.RankPath(*traceOut, *tcpRank)
+		}
+		if *metricsOut != "" {
+			*metricsOut = cli.RankPath(*metricsOut, *tcpRank)
+		}
 	}
 
 	cfg := solver.DefaultConfig(*np, *n, *local)
@@ -197,7 +205,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("-metrics: %v", err)
 		}
-		coll = obs.NewStepCollector(metricsFile, *np, reg)
+		hosted := *np // ranks reporting into this process's collector
+		if useTCP {
+			hosted = 1
+		}
+		coll = obs.NewStepCollector(metricsFile, hosted, reg)
 		cfg.Steps = coll
 		if *showDiag {
 			cfg.StepDiag = diag.StepScalars

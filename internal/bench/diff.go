@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -46,8 +47,9 @@ type Delta struct {
 type Comparison struct {
 	Deltas      []Delta
 	Regressions []Delta
-	// Missing lists baseline result keys the fresh run did not produce;
-	// New lists fresh keys absent from the baseline (not regressions).
+	// Missing lists baseline result keys the fresh run did not produce
+	// (they fail the gate); New lists fresh keys absent from the
+	// baseline (schema growth, not a failure).
 	Missing []string
 	New     []string
 	// Blame maps a regressed key to its critical-path blame lines, when
@@ -95,24 +97,24 @@ func Compare(base, cur *report.Trajectory, opts CompareOptions) *Comparison {
 				Deterministic: bm.Deterministic,
 			}
 			if bm.Value != 0 {
-				d.Rel = (cm.Value - bm.Value) / abs(bm.Value)
+				d.Rel = (cm.Value - bm.Value) / math.Abs(bm.Value)
 			}
 			if bm.LessIsBetter {
 				d.Worse = cm.Value > bm.Value
 			} else {
 				d.Worse = cm.Value < bm.Value
 			}
-			worseBy := abs(cm.Value - bm.Value)
+			worseBy := math.Abs(cm.Value - bm.Value)
 			switch {
 			case !d.Worse:
 				// Improvement or equal: never a regression.
 			case bm.Deterministic:
-				d.Regression = worseBy > max(opts.Threshold*abs(bm.Value), absFloor(bm.Unit))
+				d.Regression = worseBy > max(opts.Threshold*math.Abs(bm.Value), absFloor(bm.Unit))
 			case bm.Unit == "allocs/op":
 				// Absolute bar independent of host speed.
 				d.Regression = worseBy > absFloor(bm.Unit)
 			case opts.WallThreshold > 0:
-				bound := max(opts.WallThreshold*abs(bm.Value), absFloor(bm.Unit))
+				bound := max(opts.WallThreshold*math.Abs(bm.Value), absFloor(bm.Unit))
 				if ci := opts.WallCI[key+"|"+bm.Name]; ci > bound {
 					bound = ci
 				}
@@ -138,6 +140,14 @@ func Compare(base, cur *report.Trajectory, opts CompareOptions) *Comparison {
 		}
 	}
 	return out
+}
+
+// Failed reports whether the comparison fails the gate: any regression,
+// or any baseline scenario the fresh run did not produce (a suite whose
+// configuration drifted away from the baseline's must not silently stop
+// gating).
+func (c *Comparison) Failed() bool {
+	return len(c.Regressions) > 0 || len(c.Missing) > 0
 }
 
 // Format renders the comparison for terminals: one line per metric,
@@ -190,18 +200,4 @@ func (c *Comparison) Format(verbose bool) string {
 		}
 	}
 	return b.String()
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

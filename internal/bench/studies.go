@@ -1,9 +1,11 @@
 // Package bench holds the measurement cores of the repo's benchmark
-// commands — the loadbal and overlap scenario studies of scalebench,
-// the derivative-kernel worker sweep of kernelbench, and the
-// steady-state allocation guard — so cmd/benchdiff can re-run exactly
-// the committed-baseline measurements in-process and compare, and the
-// bench commands stay thin front-ends.
+// commands — the loadbal, overlap and hierarchical-collectives studies
+// of scalebench, the derivative-kernel worker and mxm sweeps of
+// kernelbench, the steady-state allocation guard, and the job-server
+// load generator — and the Suites registry that fixes each suite's
+// configuration once. cmd/benchdiff runs the registry to record and
+// gate BENCH_trajectory.json; the bench commands stay thin front-ends
+// that print tables.
 //
 // Every modeled quantity (virtual-clock makespans, modeled MPI
 // fractions) is deterministic: compute is charged analytically, so two
@@ -62,8 +64,8 @@ type LoadbalResult struct {
 
 // LoadbalStudy measures the dynamic load balancer against a one-hot-rank
 // cost skew: balanced (floor), skewed static (ceiling), and skewed with
-// the balancer on. Identical in configuration to the committed
-// BENCH_loadbal_baseline.json when opts is zero.
+// the balancer on. With opts zero (plus Trace) it is the
+// scalebench-loadbal suite of the Suites registry.
 func LoadbalStudy(opts LoadbalOptions) (*LoadbalResult, error) {
 	const np, localElems, hotRank, steps = 8, 2, 3, 12
 	n := opts.N
@@ -235,8 +237,9 @@ type OverlapResult struct {
 }
 
 // OverlapStudy measures the split-phase exchange against the blocking
-// baseline on a communication-bound configuration. Identical to the
-// committed BENCH_overlap_baseline.json when opts is zero.
+// baseline on a communication-bound configuration. With opts zero
+// (plus Trace) it is the scalebench-overlap suite of the Suites
+// registry.
 func OverlapStudy(opts OverlapOptions) (*OverlapResult, error) {
 	const np, localElems, steps = 8, 3, 8
 	n := opts.N

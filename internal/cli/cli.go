@@ -1,12 +1,13 @@
 // Package cli holds the small flag-parsing helpers the command-line
-// tools share: grid triples ("8x8x4"), kernel variants, and machine
-// names.
+// tools share: grid triples ("8x8x4"), kernel variants, machine names,
+// and per-rank output paths.
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -68,4 +69,13 @@ func ParseMachine(s string) (hw.Machine, error) {
 	}
 	return hw.Machine{}, fmt.Errorf("unknown machine %q (want %s, %s, or %s)",
 		s, hw.Opteron6378.Name, hw.I52500.Name, hw.Generic.Name)
+}
+
+// RankPath names one rank's shard of a per-process output file:
+// "t.json" becomes "t.rank2.json" for rank 2. A multi-process run hands
+// every process the same -trace/-metrics path, so each process writes
+// its own shard instead of all of them truncating one file.
+func RankPath(path string, rank int) string {
+	ext := filepath.Ext(path)
+	return fmt.Sprintf("%s.rank%d%s", path[:len(path)-len(ext)], rank, ext)
 }

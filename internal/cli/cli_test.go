@@ -42,3 +42,20 @@ func TestParseMachine(t *testing.T) {
 		t.Fatal("unknown machine accepted")
 	}
 }
+
+func TestRankPath(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		rank int
+		want string
+	}{
+		{"t.json", 2, "t.rank2.json"},
+		{"m.jsonl", 0, "m.rank0.jsonl"},
+		{"out/run.v1/trace.json", 13, "out/run.v1/trace.rank13.json"},
+		{"out.d/trace", 1, "out.d/trace.rank1"},
+	} {
+		if got := RankPath(c.path, c.rank); got != c.want {
+			t.Errorf("RankPath(%q, %d) = %q, want %q", c.path, c.rank, got, c.want)
+		}
+	}
+}

@@ -12,9 +12,8 @@ import (
 )
 
 // SchemaVersion is the current version of the unified bench-result
-// schema. Decoders accept every older committed format (the v0
-// kernelbench record array and the v0 scalebench study documents), so
-// baselines never have to be rewritten when the schema moves.
+// schema. Files without a schema_version, or with a newer one, are
+// rejected rather than misread.
 const SchemaVersion = 1
 
 // Metric is one named scalar measurement with its comparison semantics.
@@ -36,8 +35,9 @@ type Metric struct {
 // configuration space with its measured metrics and, when the run was
 // traced, its critical-path digest.
 type BenchResult struct {
-	// Suite names the producing benchmark family: "kernelbench",
-	// "scalebench-loadbal", "scalebench-overlap", "allocs".
+	// Suite names the producing benchmark family, one of the names in
+	// the bench.Suites registry: "kernelbench", "scalebench-loadbal",
+	// "scalebench-hier", "allocs", ...
 	Suite string `json:"suite"`
 	// Scenario identifies the point within the suite, e.g.
 	// "skewed+loadbal" or "dudr/workers=1".
@@ -124,10 +124,7 @@ func (t *Trajectory) WriteFile(path string) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// ReadTrajectory loads a bench-result file in any supported format:
-// the current schema (by schema_version), or one of the v0 formats the
-// repo's committed BENCH_*.json baselines use — the kernelbench record
-// array, and the scalebench loadbal/overlap study documents.
+// ReadTrajectory loads a schema-versioned bench-result file.
 func ReadTrajectory(path string) (*Trajectory, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -140,149 +137,20 @@ func ReadTrajectory(path string) (*Trajectory, error) {
 	return t, nil
 }
 
-// DecodeTrajectory decodes bench results from any supported format.
+// DecodeTrajectory decodes a schema-versioned trajectory.
 func DecodeTrajectory(buf []byte) (*Trajectory, error) {
-	// Current format: an object carrying schema_version.
 	var probe struct {
 		SchemaVersion *int `json:"schema_version"`
 	}
-	if err := json.Unmarshal(buf, &probe); err == nil && probe.SchemaVersion != nil {
-		v := *probe.SchemaVersion
-		if v > SchemaVersion {
-			return nil, fmt.Errorf("schema_version %d is newer than this build supports (%d)", v, SchemaVersion)
-		}
-		var t Trajectory
-		if err := json.Unmarshal(buf, &t); err != nil {
-			return nil, err
-		}
-		return &t, nil
+	if err := json.Unmarshal(buf, &probe); err != nil || probe.SchemaVersion == nil {
+		return nil, fmt.Errorf("unrecognized bench result format (no schema_version)")
 	}
-	// v0 kernelbench: a bare array of worker-sweep records.
-	var recs []v0SweepRecord
-	if err := json.Unmarshal(buf, &recs); err == nil && len(recs) > 0 && recs[0].Bench != "" {
-		return fromV0Sweep(recs), nil
+	if v := *probe.SchemaVersion; v > SchemaVersion {
+		return nil, fmt.Errorf("schema_version %d is newer than this build supports (%d)", v, SchemaVersion)
 	}
-	// v0 scalebench studies: objects distinguished by their knobs.
-	var lb v0Loadbal
-	if err := json.Unmarshal(buf, &lb); err == nil && lb.HotRank != nil && len(lb.Scenarios) > 0 {
-		return fromV0Loadbal(lb), nil
+	var t Trajectory
+	if err := json.Unmarshal(buf, &t); err != nil {
+		return nil, err
 	}
-	var ov v0Overlap
-	if err := json.Unmarshal(buf, &ov); err == nil && ov.LocalElems != nil && len(ov.Scenarios) > 0 {
-		return fromV0Overlap(ov), nil
-	}
-	return nil, fmt.Errorf("unrecognized bench result format")
-}
-
-// --- v0 formats (the committed baselines) ---
-
-type v0SweepRecord struct {
-	Bench   string  `json:"bench"`
-	N       int     `json:"n"`
-	Nel     int     `json:"nel"`
-	Steps   int     `json:"steps"`
-	Dir     string  `json:"dir"`
-	Variant string  `json:"variant"`
-	Workers int     `json:"workers"`
-	Wall    float64 `json:"wall_seconds"`
-	Gflops  float64 `json:"gflops_per_sec"`
-	Speedup float64 `json:"speedup_vs_serial"`
-	NumCPU  int     `json:"num_cpu"`
-}
-
-func fromV0Sweep(recs []v0SweepRecord) *Trajectory {
-	t := &Trajectory{SchemaVersion: 0, Host: Host{NumCPU: recs[0].NumCPU}}
-	for _, r := range recs {
-		t.Results = append(t.Results, BenchResult{
-			Suite:    "kernelbench",
-			Scenario: fmt.Sprintf("%s/%s/workers=%d", r.Dir, r.Variant, r.Workers),
-			Params: map[string]string{
-				"n": fmt.Sprint(r.N), "nel": fmt.Sprint(r.Nel), "steps": fmt.Sprint(r.Steps),
-			},
-			Metrics: []Metric{
-				{Name: "wall_seconds", Value: r.Wall, Unit: "s", LessIsBetter: true},
-				{Name: "gflops_per_sec", Value: r.Gflops, Unit: "gflop/s"},
-				{Name: "speedup_vs_serial", Value: r.Speedup, Unit: "x"},
-			},
-		})
-	}
-	return t
-}
-
-type v0LBScenario struct {
-	Scenario          string  `json:"scenario"`
-	Ranks             int     `json:"ranks"`
-	Makespan          float64 `json:"makespan_s"`
-	MPIFrac           float64 `json:"mpi_frac"`
-	Rebalances        int     `json:"rebalances"`
-	MigratedElems     int     `json:"migrated_elems"`
-	ReductionVsSkewed float64 `json:"reduction_vs_skewed"`
-}
-
-type v0Loadbal struct {
-	N         int            `json:"n"`
-	Steps     int            `json:"steps"`
-	Net       string         `json:"net"`
-	HotRank   *int           `json:"hot_rank"`
-	HotFactor float64        `json:"hot_factor"`
-	Threshold float64        `json:"imbalance_threshold"`
-	Every     int            `json:"rebalance_every"`
-	Scenarios []v0LBScenario `json:"scenarios"`
-}
-
-func fromV0Loadbal(d v0Loadbal) *Trajectory {
-	t := &Trajectory{SchemaVersion: 0}
-	for _, s := range d.Scenarios {
-		t.Results = append(t.Results, BenchResult{
-			Suite:    "scalebench-loadbal",
-			Scenario: s.Scenario,
-			Params: map[string]string{
-				"n": fmt.Sprint(d.N), "steps": fmt.Sprint(d.Steps), "net": d.Net,
-				"hot_rank": fmt.Sprint(*d.HotRank), "hot_factor": fmt.Sprint(d.HotFactor),
-			},
-			Metrics: []Metric{
-				{Name: "makespan_s", Value: s.Makespan, Unit: "s", Deterministic: true, LessIsBetter: true},
-				{Name: "mpi_frac", Value: s.MPIFrac, Unit: "frac", Deterministic: true, LessIsBetter: true},
-				{Name: "reduction_vs_skewed", Value: s.ReductionVsSkewed, Unit: "frac"},
-			},
-		})
-	}
-	return t
-}
-
-type v0OVScenario struct {
-	Scenario            string  `json:"scenario"`
-	Ranks               int     `json:"ranks"`
-	Makespan            float64 `json:"makespan_s"`
-	MPIFrac             float64 `json:"mpi_frac"`
-	HiddenSeconds       float64 `json:"hidden_seconds"`
-	ReductionVsBlocking float64 `json:"reduction_vs_blocking"`
-}
-
-type v0Overlap struct {
-	N          int            `json:"n"`
-	LocalElems *int           `json:"local_elems_per_dir"`
-	Steps      int            `json:"steps"`
-	Net        string         `json:"net"`
-	Scenarios  []v0OVScenario `json:"scenarios"`
-}
-
-func fromV0Overlap(d v0Overlap) *Trajectory {
-	t := &Trajectory{SchemaVersion: 0}
-	for _, s := range d.Scenarios {
-		t.Results = append(t.Results, BenchResult{
-			Suite:    "scalebench-overlap",
-			Scenario: s.Scenario,
-			Params: map[string]string{
-				"n": fmt.Sprint(d.N), "steps": fmt.Sprint(d.Steps), "net": d.Net,
-				"local_elems_per_dir": fmt.Sprint(*d.LocalElems),
-			},
-			Metrics: []Metric{
-				{Name: "makespan_s", Value: s.Makespan, Unit: "s", Deterministic: true, LessIsBetter: true},
-				{Name: "mpi_frac", Value: s.MPIFrac, Unit: "frac", Deterministic: true, LessIsBetter: true},
-				{Name: "reduction_vs_blocking", Value: s.ReductionVsBlocking, Unit: "frac"},
-			},
-		})
-	}
-	return t
+	return &t, nil
 }
